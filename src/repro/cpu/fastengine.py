@@ -369,6 +369,9 @@ class FastEngine:
         key = (execution.uarch.name, id(execution.trace))
         index = self._retire_indexes.get(key)
         if index is None:
-            index = RetireIndex(execution)
+            with span("retire_index", machine=execution.uarch.name,
+                      occurrences=int(execution.trace.block_seq.size)):
+                index = RetireIndex(execution)
+            count("pmu.retire_index_builds")
             self._retire_indexes[key] = index
         return FastSampler(execution, index)

@@ -32,7 +32,11 @@ class Execution:
 
     @cached_property
     def predictor(self) -> BranchPredictor:
-        """The branch-prediction outcome model for this trace."""
+        """The branch-prediction outcomes of this trace.
+
+        Outcomes are machine-independent and cached on the trace, so every
+        machine's execution of one trace shares the same arrays.
+        """
         return BranchPredictor(self.trace)
 
     @cached_property
@@ -41,7 +45,7 @@ class Execution:
         return retirement_cycles(
             self.trace.latency_classes,
             self.uarch,
-            mispredict_positions=self.predictor.mispredict_positions,
+            mispredict_positions=self.trace.mispredict_positions,
         )
 
     @property

@@ -19,12 +19,14 @@ target (a BTB); returns and direct jumps/calls never mispredict (RAS/BTB).
 
 from __future__ import annotations
 
-from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.cpu.trace import Trace
 from repro.isa.block import BlockKind
+
+if TYPE_CHECKING:
+    from repro.cpu.trace import Trace
 
 
 def _grouped_prevs(
@@ -64,48 +66,62 @@ def _grouped_prev(values: np.ndarray, groups: np.ndarray, lag: int) -> np.ndarra
     return _grouped_prevs(values, groups, (lag,))[0]
 
 
+def occurrence_mispredicts(trace: Trace) -> np.ndarray:
+    """Bool per block occurrence of ``trace``: its terminator mispredicted.
+
+    Outcomes depend on the trace alone, never on the machine, so
+    :attr:`Trace.occurrence_mispredicts` caches this once per trace.
+    """
+    seq = trace.block_seq
+    kinds = trace.occurrence_kinds
+    mis = np.zeros(seq.size, dtype=bool)
+
+    # Conditional branches: compare the outcome to the last two outcomes
+    # of the same static branch.
+    cond = trace._cond_occurrences
+    if cond.size:
+        outcome = trace.occurrence_taken[cond].astype(np.int8)
+        sites = seq[cond]
+        prev1, prev2 = _grouped_prevs(outcome, sites, (1, 2))
+        cond_mis = (outcome != prev1) & (outcome != prev2)
+        mis[cond] = cond_mis
+
+    # Indirect calls: a BTB predicting the last observed target.
+    icall = np.flatnonzero(kinds == int(BlockKind.ICALL))
+    if icall.size:
+        # Target = the next block occurrence; the final occurrence has
+        # no successor but an ICALL can never be final (its callee runs).
+        targets = seq[icall + 1]
+        sites = seq[icall]
+        prev = _grouped_prev(targets, sites, 1)
+        mis[icall] = targets != prev
+
+    return mis
+
+
 class BranchPredictor:
-    """Per-trace misprediction flags and positions."""
+    """Misprediction flags and positions of one trace.
+
+    A view over the trace's cached outcomes: every machine's
+    :class:`~repro.cpu.machine.Execution` of a trace shares one set of
+    arrays.  The trace never refers back to a predictor, so dropping the
+    last reference to a trace frees it without waiting for the cyclic GC.
+    """
 
     def __init__(self, trace: Trace) -> None:
         self.trace = trace
 
-    @cached_property
+    @property
     def occurrence_mispredicts(self) -> np.ndarray:
         """Bool per block occurrence: its terminator mispredicted."""
-        trace = self.trace
-        seq = trace.block_seq
-        kinds = trace.occurrence_kinds
-        mis = np.zeros(seq.size, dtype=bool)
+        return self.trace.occurrence_mispredicts
 
-        # Conditional branches: compare the outcome to the last two outcomes
-        # of the same static branch.
-        cond = trace._cond_occurrences
-        if cond.size:
-            outcome = trace.occurrence_taken[cond].astype(np.int8)
-            sites = seq[cond]
-            prev1, prev2 = _grouped_prevs(outcome, sites, (1, 2))
-            cond_mis = (outcome != prev1) & (outcome != prev2)
-            mis[cond] = cond_mis
-
-        # Indirect calls: a BTB predicting the last observed target.
-        icall = np.flatnonzero(kinds == int(BlockKind.ICALL))
-        if icall.size:
-            # Target = the next block occurrence; the final occurrence has
-            # no successor but an ICALL can never be final (its callee runs).
-            targets = seq[icall + 1]
-            sites = seq[icall]
-            prev = _grouped_prev(targets, sites, 1)
-            mis[icall] = targets != prev
-
-        return mis
-
-    @cached_property
+    @property
     def mispredict_positions(self) -> np.ndarray:
         """Trace indices of mispredicted branch instructions (int64)."""
-        return self.trace.occurrence_ends[self.occurrence_mispredicts]
+        return self.trace.mispredict_positions
 
-    @cached_property
+    @property
     def mispredict_count(self) -> int:
         return int(self.mispredict_positions.size)
 

@@ -16,6 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
+from repro.cpu import prediction
 from repro.errors import ExecutionError
 from repro.isa.block import BlockKind
 from repro.isa.program import Program
@@ -120,6 +121,40 @@ class Trace:
             taken[ct] = nxt != tables.fall_next[sites]
         taken[-1] = False
         return taken
+
+    @cached_property
+    def occurrence_mispredicts(self) -> np.ndarray:
+        """Whether each occurrence's terminator mispredicted (bool).
+
+        Prediction outcomes are machine-independent, so they are computed
+        once here and shared by every machine's execution of this trace
+        (see :mod:`repro.cpu.prediction`).
+        """
+        return prediction.occurrence_mispredicts(self)
+
+    @cached_property
+    def mispredicted_occurrences(self) -> np.ndarray:
+        """Indices of the occurrences whose terminator mispredicted (int64)."""
+        return np.flatnonzero(self.occurrence_mispredicts)
+
+    @cached_property
+    def mispredict_positions(self) -> np.ndarray:
+        """Trace indices of mispredicted branch instructions (int64)."""
+        return self.occurrence_ends[self.mispredicted_occurrences]
+
+    @cached_property
+    def occurrence_cumulative_uops(self) -> np.ndarray:
+        """``cumulative_uops`` at each occurrence's last instruction (int64).
+
+        One occurrence-length pass: blocks tile the uop pool in index
+        order, so per-block totals are a single ``reduceat``.
+        """
+        tables = self.program.tables
+        block_uops = np.add.reduceat(
+            tables.pool_uops.astype(np.int64), tables.instr_offset
+        )
+        occ = block_uops[self.block_seq]
+        return np.cumsum(occ, out=occ)
 
     # -- instruction level ---------------------------------------------------
 

@@ -4,26 +4,35 @@ The reference :class:`~repro.pmu.sampler.Sampler` materializes full
 per-instruction arrays (latency classes, retirement cycles, cumulative uop
 counts) and then touches only a handful of positions per sample.  This
 module replaces those arrays with a :class:`RetireIndex`: a block-occurrence
-level index answering exactly the two queries sampling needs —
+level index answering exactly the queries sampling needs —
 
 ``at(idx)``
-    the retirement cycle of instruction ``idx`` (point lookup), and
+    the retirement cycle of instruction ``idx`` (point lookup),
 ``search(cycles, side)``
-    ``np.searchsorted(retire_cycles, cycles, side)`` without the array.
+    ``np.searchsorted(retire_cycles, cycles, side)`` without the array, and
+``uop_search(thresholds)``
+    ``np.searchsorted(cumulative_uops, thresholds, "left")``.
 
-Both run in O(log blocksize) per query off arrays whose length is the
-number of *block occurrences*, never the number of instructions.  The key
-identity: within one occurrence of block ``b`` the retirement cycle is
+Each query is a fixed handful of O(samples) gathers plus two binary
+searches: one over an occurrence-length array, one over a small static
+table.  The key identity: inside one occurrence of block ``b`` starting at
+trace index ``start``, with phase ``s = start % W``,
 
-``retire(start + j) = (start + j) // W  +  occ_base[k]  +  prefix_b(j)``
+``retire(start + j) = start // W + occ_base[k] + T[b, s, j]``,
+``T[b, s, j] = (s + j) // W + prefix_b(j)``
 
 where ``prefix_b`` is the block's static inclusive visible-stall prefix
-(a per-program pool cumsum) and ``occ_base[k]`` folds the stalls of all
-earlier occurrences plus the mispredict-refill penalties that land, by
-construction, exactly on occurrence boundaries.  Since ``retire`` is
-non-decreasing, a threshold query binary-searches the per-occurrence
-last-retire array, then resolves the position inside one block with a
-vectorized bisection over at most ``log2(max block size)`` steps.
+and ``occ_base[k]`` folds the stalls of all earlier occurrences plus the
+mispredict-refill penalties, which land exactly on occurrence boundaries.
+``T`` depends only on the program and the machine, so the *phase table*
+lays every (block, phase) row out once as one ascending key array.
+Retirement is non-decreasing, so a threshold query binary-searches the
+per-occurrence last-retire array for its occurrence ``k`` and then the
+phase table for the position inside it; ``occ_base[k]`` never needs to be
+stored, because ``retire(end_k) = occ_last_retire[k]`` anchors the row.
+The only occurrence-length array a machine adds is ``occ_last_retire``;
+uop prefixes and prediction outcomes are machine-independent and live on
+the :class:`~repro.cpu.trace.Trace`.
 
 :class:`FastSampler` mirrors :meth:`Sampler._collect` line for line —
 same RNG draw order, same thresholds, same capture formulas — so its
@@ -51,68 +60,79 @@ class RetireIndex:
         trace = execution.trace
         uarch = execution.uarch
         tables = trace.program.tables
+        width = uarch.retire_width
         self.n = trace.num_instructions
-        self.width = uarch.retire_width
+        self.width = width
         self.seq = trace.block_seq
         self.occ_starts = trace.occurrence_starts
-        self.occ_sizes = trace.occurrence_sizes
-        self.instr_offset = tables.instr_offset
-        self._tables = tables
+        self._trace = trace
+        pow2 = width & (width - 1) == 0
+        self._phase_mask = width - 1 if pow2 else None
 
-        # Static per-block stall prefixes (pool-level, O(program size)).
-        pool_stall = uarch.visible_stall_lut()[tables.pool_latclass]
-        pool_stall = pool_stall.astype(np.int64)
-        self.pool_cumstall = np.cumsum(pool_stall)
-        pool_excl = self.pool_cumstall - pool_stall
-        off = tables.instr_offset
-        self.block_stall_base = pool_excl[off]
-        block_last = off + tables.block_sizes.astype(np.int64) - 1
-        block_stall_total = self.pool_cumstall[block_last] \
-            - self.block_stall_base
+        # Blocks tile the instruction pools in block-index order
+        # (Program._layout), so each pool slot's block and in-block
+        # position are one repeat away.
+        sizes = tables.block_sizes.astype(np.int64)
+        offsets = tables.instr_offset
+        pool_size = int(sizes.sum())
+        owner = np.repeat(np.arange(sizes.size), sizes)
+        within = np.arange(pool_size, dtype=np.int64) - offsets[owner]
+        last = offsets + sizes - 1
+        self._block_offsets = offsets
 
-        # Dynamic per-occurrence bases (O(block occurrences)).
-        # In-block offsets 0..max_block_size-1: the within-occurrence
-        # resolution below evaluates the retire formula at every offset of
-        # one (samples x offsets) table instead of bisecting — blocks are
-        # short (tens of instructions), so the table is tiny and the whole
-        # resolution is a handful of vector ops.
-        self._offsets = np.arange(
-            int(tables.block_sizes.max()), dtype=np.int64
-        )
+        # Phase table: row (s, b) holds T[b, s, j] for j < size_b.  Rows
+        # are stacked in memory order, each lifted to start above the
+        # previous row's top, so one searchsorted resolves any row and
+        # a key below a row's first entry lands at (or before) its start.
+        stall = uarch.visible_stall_lut()[tables.pool_latclass]
+        stall = stall.astype(np.int64)
+        cumstall = np.cumsum(stall)
+        prefix = cumstall - (cumstall - stall)[offsets][owner]
+        block_stall_total = prefix[last]
+        table = (np.arange(width)[:, None] + within) // width + prefix
+        row_top = table[:, last]
+        lift = np.cumsum(row_top + 1).reshape(row_top.shape) - row_top - 1
+        self._phase_keys = (table + lift[:, owner]).ravel()
+        # Per-row anchors, indexed by b * W + s.
+        self._row_top = (row_top + lift).T.ravel()
+        self._row_first = (
+            offsets[:, None] + np.arange(width) * pool_size
+        ).ravel()
 
-        seq = self.seq
-        occ_total = block_stall_total[seq]
+        # The one occurrence-length array per machine: the retire cycle of
+        # each occurrence's last instruction.  A mispredict's refill bubble
+        # delays the first instruction of the *next* occurrence, so adding
+        # it before the prefix sum and taking it back out afterwards leaves
+        # every occurrence carrying the bubbles of all earlier ones only.
+        olr = block_stall_total[self.seq]
         pen = uarch.mispredict_penalty_cycles
         if pen > 0:
-            # The refill bubble delays the instruction *after* a mispredicted
-            # terminator — the first instruction of the next occurrence — so
-            # folding it per-occurrence loses nothing: occurrence k absorbs
-            # one penalty per mispredicted occurrence before it.  Adding the
-            # penalties into the per-occurrence totals lets one cumsum carry
-            # both the stall and the bubble prefixes.
-            penalties = execution.predictor.occurrence_mispredicts * pen
-            adjusted = occ_total + penalties
-            incl = np.cumsum(adjusted)
-            occ_base = incl - adjusted
-            # Inclusive of this occurrence's stalls, exclusive of its own
-            # (boundary-landing) bubble.
-            occ_incl = incl - penalties
+            mispredicted = trace.mispredicted_occurrences
+            olr[mispredicted] += pen
+            np.cumsum(olr, out=olr)
+            olr[mispredicted] -= pen
         else:
-            occ_incl = np.cumsum(occ_total)
-            occ_base = occ_incl - occ_total
-        self.occ_base = occ_base
-        width = self.width
+            np.cumsum(olr, out=olr)
+        # The only occurrence-wide division; every modelled machine with a
+        # power-of-two retire width shifts instead.
         ends = trace.occurrence_ends
-        if width & (width - 1) == 0:
-            # The only occurrence-wide division; int64 division is the
-            # slowest vector op in this constructor, and every modelled
-            # machine with a power-of-two retire width can shift instead.
-            retired_at_end = ends >> (width.bit_length() - 1)
-        else:
-            retired_at_end = ends // width
-        self.occ_last_retire = retired_at_end + occ_incl
+        olr += ends >> (width.bit_length() - 1) if pow2 else ends // width
+        self.occ_last_retire = olr
 
-        self._uop_arrays = None
+        # Uop prefixes need no phase: the pool-wide inclusive uop sum is
+        # already ascending, and a block's slice of it is its row.
+        pool_cumuops = np.cumsum(tables.pool_uops, dtype=np.int64)
+        self._pool_cumuops = pool_cumuops
+        self._block_top_uops = pool_cumuops[last]
+
+    def _rows(self, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(start index, phase-table row) of each occurrence in ``k``."""
+        start = self.occ_starts[k]
+        if self._phase_mask is not None:
+            phase = start & self._phase_mask
+        else:
+            phase = start % self.width
+        return start, self.seq[k] * self.width + phase
 
     # -- retirement-cycle queries -----------------------------------------
 
@@ -120,10 +140,9 @@ class RetireIndex:
         """``retire_cycles[idx]`` for in-range trace indices (int64)."""
         idx = np.asarray(idx, dtype=np.int64)
         k = np.searchsorted(self.occ_starts, idx, side="right") - 1
-        b = self.seq[k]
-        pos = self.instr_offset[b] + (idx - self.occ_starts[k])
-        return (idx // self.width + self.occ_base[k]
-                + self.pool_cumstall[pos] - self.block_stall_base[b])
+        start, row = self._rows(k)
+        key = self._phase_keys[self._row_first[row] + (idx - start)]
+        return self.occ_last_retire[k] - self._row_top[row] + key
 
     def search(self, cycles: np.ndarray, side: str) -> np.ndarray:
         """``np.searchsorted(retire_cycles, cycles, side)`` (int64).
@@ -132,92 +151,60 @@ class RetireIndex:
         out-of-trace sentinel the reference arrays produce).
         """
         cycles = np.asarray(cycles, dtype=np.int64)
-        k = np.searchsorted(self.occ_last_retire, cycles, side=side)
-        hit = k < self.seq.size
-        if hit.all():
-            out = None
-            kk, c = k, cycles
-        else:
-            out = np.full(cycles.shape, self.n, dtype=np.int64)
-            if not hit.any():
-                return out
-            kk = k[hit]
-            c = cycles[hit]
-        b = self.seq[kk]
-        start = self.occ_starts[kk][:, None]
-        off = self.instr_offset[b][:, None]
-        # Fold the per-occurrence and per-block offsets into the query:
-        # retire(start+j) cmp c  <=>  (start+j)//W + cumstall[off+j] cmp rel.
-        rel = (c - self.occ_base[kk] + self.block_stall_base[b])[:, None]
-        # Evaluate the formula at every in-block offset at once; offsets
-        # past the occurrence end are clamped to the last instruction and
-        # forced past the threshold, so the first-hit count below lands on
-        # the occurrence end for queries at (or beyond) its last retire.
-        last = (self.occ_sizes[kk] - 1)[:, None]
-        j = np.minimum(self._offsets, last)
-        v = (start + j) // self.width + self.pool_cumstall[off + j]
-        cond = (v > rel) if side == "right" else (v >= rel)
-        cond |= self._offsets > last
-        # cond is monotone along the row, so the False count is the first
-        # in-block offset meeting the query.
-        res = start[:, 0] + cond.shape[1] - cond.sum(axis=1)
-        if out is None:
-            return res
-        out[hit] = res
-        return out
+        olr = self.occ_last_retire
+        k = np.searchsorted(olr, cycles, side=side)
+        hit, k, cycles = self._in_trace(k, cycles)
+        start, row = self._rows(k)
+        # retire(start + j) - olr[k] = keys[first + j] - top: rebase the
+        # query onto the row and search the phase table once.
+        key = cycles - olr[k] + self._row_top[row]
+        j = np.searchsorted(self._phase_keys, key, side=side)
+        j -= self._row_first[row]
+        # A key below the row's first entry (a cycle inside the refill
+        # bubble before this occurrence, or before the first retirement)
+        # resolves to the occurrence's first instruction.
+        np.maximum(j, 0, out=j)
+        return self._merge(hit, start + j)
 
-    # -- cumulative-uop queries (built lazily; only IBS/UOPS events pay) ---
-
-    def _uops(self):
-        if self._uop_arrays is None:
-            tables = self._tables
-            pool_u = tables.pool_uops.astype(np.int64)
-            pool_cumu = np.cumsum(pool_u)
-            pool_excl = pool_cumu - pool_u
-            off = tables.instr_offset
-            ubase = pool_excl[off]
-            block_last = off + tables.block_sizes.astype(np.int64) - 1
-            utotal = pool_cumu[block_last] - ubase
-            occ_total = utotal[self.seq]
-            occ_ulast = np.cumsum(occ_total)
-            self._uop_arrays = (pool_cumu, ubase, occ_ulast,
-                                occ_ulast - occ_total)
-        return self._uop_arrays
+    # -- cumulative-uop queries --------------------------------------------
 
     @property
     def total_uops(self) -> int:
         """``cumulative_uops[-1]`` without the per-instruction array."""
-        _, _, occ_ulast, _ = self._uops()
-        return int(occ_ulast[-1])
+        return int(self._trace.occurrence_cumulative_uops[-1])
 
     def uop_search(self, thresholds: np.ndarray) -> np.ndarray:
         """``np.searchsorted(cumulative_uops, thresholds, "left")``."""
-        pool_cumu, ubase, occ_ulast, occ_uexcl = self._uops()
         thresholds = np.asarray(thresholds, dtype=np.int64)
-        k = np.searchsorted(occ_ulast, thresholds, side="left")
+        occ_cumuops = self._trace.occurrence_cumulative_uops
+        k = np.searchsorted(occ_cumuops, thresholds, side="left")
+        hit, k, thresholds = self._in_trace(k, thresholds)
+        b = self.seq[k]
+        key = thresholds - occ_cumuops[k] + self._block_top_uops[b]
+        j = np.searchsorted(self._pool_cumuops, key, side="left")
+        j -= self._block_offsets[b]
+        np.maximum(j, 0, out=j)
+        return self._merge(hit, self.occ_starts[k] + j)
+
+    # -- past-the-end handling ---------------------------------------------
+
+    def _in_trace(self, k: np.ndarray, values: np.ndarray):
+        """(hit mask or None, in-trace ``k``, their values).
+
+        The mask is None when every query lands inside the trace; ``k`` is
+        empty when none does.
+        """
         hit = k < self.seq.size
         if hit.all():
-            out = None
-            kk, t = k, thresholds
-        else:
-            out = np.full(thresholds.shape, self.n, dtype=np.int64)
-            if not hit.any():
-                return out
-            kk = k[hit]
-            t = thresholds[hit]
-        b = self.seq[kk]
-        off = self.instr_offset[b][:, None]
-        # First j in the block with inclusive uop prefix >= the residual;
-        # same all-offsets-at-once resolution as :meth:`search`.
-        target = (t - occ_uexcl[kk] + ubase[b])[:, None]
-        last = (self.occ_sizes[kk] - 1)[:, None]
-        j = np.minimum(self._offsets, last)
-        cond = pool_cumu[off + j] >= target
-        cond |= self._offsets > last
-        res = self.occ_starts[kk] + cond.shape[1] - cond.sum(axis=1)
-        if out is None:
-            return res
-        out[hit] = res
+            return None, k, values
+        return hit, k[hit], values[hit]
+
+    def _merge(self, hit, resolved: np.ndarray) -> np.ndarray:
+        """Scatter in-trace results into an ``n``-filled output."""
+        if hit is None:
+            return resolved
+        out = np.full(hit.shape, self.n, dtype=np.int64)
+        out[hit] = resolved
         return out
 
 
@@ -307,7 +294,7 @@ class FastSampler:
                                         side="right")
             reported = drop_flushed_ibs(
                 reported, n,
-                self.execution.predictor.mispredict_positions,
+                trace.mispredict_positions,
                 uarch.ibs_flush_window,
             )
             trigger = reported

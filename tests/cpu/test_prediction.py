@@ -1,7 +1,13 @@
 """Unit tests for the branch-prediction model."""
 
+import gc
+import weakref
+
 import numpy as np
 
+from repro import IVY_BRIDGE, MAGNY_COURS, WESTMERE
+from repro.core.experiment import CellSpec, ExperimentConfig, Harness
+from repro.cpu.fastengine import FastEngine
 from repro.cpu.interpreter import run_program
 from repro.cpu.prediction import BranchPredictor, _grouped_prev
 from repro.cpu.trace import Trace
@@ -103,3 +109,38 @@ def test_mispredict_positions_are_branch_ends():
     # Every position is the last instruction of some occurrence.
     ends = trace.occurrence_starts + trace.occurrence_sizes - 1
     assert np.isin(positions, ends).all()
+
+
+def test_machines_share_one_prediction_per_trace():
+    """Outcomes are machine-independent: every machine's execution of a
+    trace sees the very same arrays, computed once."""
+    program = build_branchy(iterations=64, seed=9)
+    trace = Trace(program, run_program(program).block_seq)
+    engine = FastEngine()
+    executions = [engine.execution(uarch, trace)
+                  for uarch in (WESTMERE, IVY_BRIDGE, MAGNY_COURS)]
+    shared = trace.occurrence_mispredicts
+    for execution in executions:
+        assert execution.predictor.occurrence_mispredicts is shared
+        assert execution.predictor.mispredict_positions \
+            is trace.mispredict_positions
+
+
+def test_dropped_harness_frees_its_trace_without_gc():
+    """No reference cycle holds a trace once its fast Harness is gone:
+    caching prediction on the trace must not make it wait for the cyclic
+    collector (which would keep every pass's traces alive at once)."""
+    gc.collect()
+    gc.disable()
+    try:
+        harness = Harness(ExperimentConfig(scale=0.02, repeats=1))
+        harness.evaluate_cell(
+            CellSpec("ivybridge", "latency_biased", "lbr", engine="fast")
+        )
+        trace = harness.trace("latency_biased", engine="fast")
+        assert trace.occurrence_mispredicts is not None
+        ref = weakref.ref(trace)
+        del trace, harness
+        assert ref() is None
+    finally:
+        gc.enable()

@@ -14,13 +14,14 @@ from repro.core.runner import run_method
 from repro.obs import collecting, count, enabled, span
 
 
-def _best_of(n, fn):
-    best = float("inf")
-    for _ in range(n):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
+#: Interleaved timing rounds; each quantity keeps its best round.
+ROUNDS = 15
+
+
+def _timed(fn):
+    start = time.perf_counter()
+    fn()
+    return time.perf_counter() - start
 
 
 def test_disabled_path_overhead_under_5_percent(branchy_execution):
@@ -30,7 +31,6 @@ def test_disabled_path_overhead_under_5_percent(branchy_execution):
         run_method(branchy_execution, "precise", base_period=40, rng=0)
 
     one_run()  # warm caches (trace properties, method resolution)
-    run_wall = _best_of(5, one_run)
 
     # Count the obs operations a run performs.
     with collecting() as col:
@@ -47,7 +47,12 @@ def test_disabled_path_overhead_under_5_percent(branchy_execution):
                 count("guard.ops")
 
     assert not enabled()
-    per_operation = _best_of(3, noop_loop) / reps
+    # Time both quantities in the same rounds, so a burst of machine load
+    # slows both rather than only one side of the ratio.
+    run_wall = per_operation = float("inf")
+    for _ in range(ROUNDS):
+        run_wall = min(run_wall, _timed(one_run))
+        per_operation = min(per_operation, _timed(noop_loop) / reps)
 
     estimated_overhead = operations * per_operation
     assert estimated_overhead < 0.05 * run_wall, (
